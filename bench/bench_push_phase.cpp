@@ -23,9 +23,10 @@ namespace {
 using namespace fba;
 
 /// Runs only the diffusion and harvests the candidate-list shape directly
-/// from the actors (the full-run report sections never get filled because
-/// the engine stops after round 1). Runs through the worker's TrialArena:
-/// world, engine and actor storage are reused across the sweep's trials.
+/// from the actor state (the full-run report sections never get filled
+/// because the engine stops after round 1). Runs through the worker's
+/// TrialArena: world, engine and actor storage are reused across the
+/// sweep's trials.
 void run_push_trial(const aer::AerConfig& base_cfg,
                     const exp::GridPoint& point, exp::TrialArena& arena,
                     exp::TrialOutcome& out) {
@@ -45,7 +46,8 @@ void run_push_trial(const aer::AerConfig& base_cfg,
   sim::SyncEngine& engine = *arena.run.sync;
   engine.set_wire(&world.shared->wire());
   engine.set_corrupt(world.view.corrupt);
-  arena.run.wire_actors(engine, world);
+  aer::SoaAerState& state = *arena.run.state;
+  state.reset(world.shared.get(), world.view.initial, engine);
   std::unique_ptr<adv::Strategy> strategy;
   const aer::StrategyFactory factory = exp::attack_factory(point.strategy);
   if (factory) strategy = factory(world.view);
@@ -60,12 +62,11 @@ void run_push_trial(const aer::AerConfig& base_cfg,
       double(engine.metrics().messages_of(sim::MessageKind::kPush)) /
       double(n);
   std::size_t sum_lists = 0;
-  for (aer::AerNode* node : arena.run.active) {
-    if (node == nullptr) continue;
-    sum_lists += node->candidate_list().size();
+  for (const NodeId id : world.correct) {
+    sum_lists += state.candidate_list_size(id);
     out.max_candidate_list =
-        std::max(out.max_candidate_list, node->candidate_list().size());
-    if (!node->has_candidate(world.shared->gstring)) ++out.missing_gstring;
+        std::max(out.max_candidate_list, state.candidate_list_size(id));
+    if (!state.has_candidate(id, world.shared->gstring)) ++out.missing_gstring;
   }
   out.candidate_lists_per_node =
       double(sum_lists) / double(world.correct.size());

@@ -52,8 +52,8 @@ int main(int argc, char** argv) {
          r.agreement ? "yes" : "NO"});
   }
 
-  std::printf("the same AerNode implementation under every timing model"
-              " (n=%zu):\n\n", n);
+  std::printf("the same AER actor (aer::SoaAerState) under every timing"
+              " model (n=%zu):\n\n", n);
   table.print(std::cout);
   std::printf("\nsync times are rounds; async times are normalized so the"
               " maximum message delay is 1.\n");

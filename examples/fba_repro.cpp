@@ -298,7 +298,7 @@ std::size_t scale_trials(std::size_t trials, std::size_t n) {
 }
 
 /// In-trial round progress for the minutes-long scale points: with one
-/// trial per point, per-trial sweep progress is too coarse, so the SoA
+/// trial per point, per-trial sweep progress is too coarse, so the AER
 /// runner reports (round just finished, events still pending) after every
 /// simulated round. Gated and throttled exactly like exp::stderr_progress.
 exp::ScaleTrialOptions::RoundProgress scale_round_progress(
@@ -359,11 +359,11 @@ exp::Report run_fig3_scale(const Options& opt, std::size_t trials) {
   for (const exp::GridPoint& p : points) total += scale_trials(trials, p.n);
 
   // Serial manual loop instead of exp::Sweep: the per-point trial caps are
-  // non-uniform, and one ScaleArena (reused across all trials) bounds the
+  // non-uniform, and one TrialArena (reused across all trials) bounds the
   // figure's memory to the largest point. Seeds derive exactly as Sweep's
   // (trial_seed over point.index/trial), so results match any runner that
   // executes the same (point, trial) set.
-  exp::ScaleArena arena;
+  exp::TrialArena arena;
   const exp::Sweep::Progress trial_progress = progress("fig3-scale");
   std::size_t completed = 0;
   for (const exp::GridPoint& point : points) {

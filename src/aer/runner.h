@@ -1,62 +1,20 @@
-// Generic protocol runner: executes any actor-based protocol on a prebuilt
-// AerWorld under the model selected in the world's config, wiring up the
-// corrupt set, adversary strategy, decision bookkeeping and the
-// all-correct-nodes-decided stop condition. Fills the outcome and traffic
-// sections of the report; protocol-specific sections are the caller's.
+// Generic protocol runner for the baseline AE->E protocols (baseline/):
+// executes any actor-based protocol on a prebuilt AerWorld under the model
+// selected in the world's config, wiring up the corrupt set, adversary
+// strategy, decision bookkeeping and the all-correct-nodes-decided stop
+// condition. Fills the outcome and traffic sections of the report;
+// protocol-specific sections are the caller's. AER itself runs through
+// aer::run_aer_world (aer/soa.h), which reuses engines and actor state.
 #pragma once
 
 #include <functional>
 #include <memory>
-#include <optional>
-#include <vector>
 
 #include "aer/protocol.h"
 #include "net/async_engine.h"
 #include "net/sync_engine.h"
 
 namespace fba::aer {
-
-/// Reusable run machinery for back-to-back trials (the trial-arena path):
-/// one engine of each flavor, reset per trial instead of reconstructed, and
-/// a pool of AerNode actors whose container storage survives across trials.
-/// A warm arena executes a whole trial without heap allocation; results are
-/// bit-identical to the fresh-construction path (reset() replicates
-/// construction semantics — golden_test and exp_test enforce it).
-struct RunArena {
-  std::optional<sim::SyncEngine> sync;
-  std::optional<sim::AsyncEngine> async;
-  std::vector<std::unique_ptr<AerNode>> node_pool;
-  /// Per-trial dispatch view: active[id] is the pooled actor of correct
-  /// node id (nullptr for corrupt ids), valid until the next trial.
-  std::vector<AerNode*> active;
-
-  /// Resets `count` pooled nodes for a fresh trial and registers them with
-  /// `engine` (non-owning) for every correct node; fills `active`.
-  template <typename Engine>
-  void wire_actors(Engine& engine, const AerWorld& world) {
-    const std::size_t n = world.shared->config.n;
-    active.assign(n, nullptr);
-    std::size_t used = 0;
-    for (NodeId id = 0; id < n; ++id) {
-      if (engine.is_corrupt(id)) continue;
-      if (used == node_pool.size()) {
-        node_pool.push_back(std::make_unique<AerNode>(
-            world.shared.get(), id, world.view.initial[id]));
-      } else {
-        node_pool[used]->reset(world.shared.get(), id,
-                               world.view.initial[id]);
-      }
-      AerNode* node = node_pool[used++].get();
-      active[id] = node;
-      engine.set_actor(id, static_cast<sim::Actor*>(node));
-    }
-  }
-};
-
-/// Runs AER on a prebuilt world through `arena` (engines reset in place,
-/// pooled actors). Behavior-identical to run_aer_world.
-AerReport run_aer_world_arena(AerWorld& world, RunArena& arena,
-                              const StrategyFactory& make_strategy = {});
 
 /// ActorFactory: NodeId -> std::unique_ptr<sim::Actor> (correct nodes only).
 /// `post_run`, if given, runs after the report's common sections are filled
@@ -140,28 +98,6 @@ AerReport run_world_protocol(
     if (post_run) post_run(report);
   }
   return report;
-}
-
-/// World-owning overload: takes the world by rvalue and keeps it alive for
-/// the duration of the run, so a trial can be packaged as a single
-/// self-contained callable and shipped to a worker thread (the experiment
-/// runner's pattern — nothing outside the call needs to outlive the world).
-/// `post_run` additionally receives the world, since the caller's copy has
-/// been moved from.
-template <typename ActorFactory>
-AerReport run_world_protocol(
-    AerWorld&& world, ActorFactory&& make_actor,
-    const StrategyFactory& make_strategy = {},
-    const std::function<void(AerReport&, AerWorld&)>& post_run = {}) {
-  AerWorld owned = std::move(world);
-  std::function<void(AerReport&)> harvest;
-  if (post_run) {
-    harvest = [&post_run, &owned](AerReport& report) {
-      post_run(report, owned);
-    };
-  }
-  return run_world_protocol(owned, std::forward<ActorFactory>(make_actor),
-                            make_strategy, harvest);
 }
 
 }  // namespace fba::aer

@@ -3,14 +3,25 @@
 #include <algorithm>
 
 #include "aer/messages.h"
-#include "aer/runner.h"
 
 namespace fba::aer {
 
-// Every handler below is a line-for-line port of aer/node.cpp with the
-// node's identity (`self`) explicit and each per-node container replaced by
-// its SoA equivalent. Any behavioral edit here must be mirrored there (and
-// vice versa); tests/scale_test.cpp pins the equivalence.
+namespace {
+
+/// Rebuilds every per-node retained map as a fresh map on `pool`, and adds
+/// maps up to n. A cleared unordered_map keeps its grown bucket array, which
+/// would give this trial a different bucket-growth (and thus iteration)
+/// history than a fresh state's; move-assigning a fresh map instead returns
+/// the old nodes and buckets to the pool's free lists.
+template <typename Map>
+void rebuild_maps(std::vector<Map>& maps, std::size_t n, support::Pool* pool) {
+  const typename Map::allocator_type alloc(pool);
+  for (Map& map : maps) map = Map(alloc);
+  maps.reserve(n);
+  while (maps.size() < n) maps.emplace_back(alloc);
+}
+
+}  // namespace
 
 void SoaAerState::reset(const AerShared* shared,
                         const std::vector<StringId>& initial,
@@ -34,21 +45,19 @@ void SoaAerState::reset(const AerShared* shared,
 
   if (forwarded_.size() < n_) forwarded_.resize(n_);
   for (std::size_t id = 0; id < n_; ++id) forwarded_[id].clear();
+  if (deferred_.size() < n_) deferred_.resize(n_);
+  for (std::size_t id = 0; id < n_; ++id) deferred_[id].clear();
 
-  // The retained maps are reconstructed, not cleared, for the same reason
-  // AerNode::reset reconstructs them: iteration order must match a freshly
-  // built node's (bucket-growth history included).
-  pending_pulls_.assign(n_, {});
-  fw1_tallies_.assign(n_, {});
-  responder_.assign(n_, {});
-  deferred_.assign(n_, {});
+  rebuild_maps(pending_pulls_, n_, &pool_);
+  rebuild_maps(fw1_tallies_, n_, &pool_);
+  rebuild_maps(responder_, n_, &pool_);
 
   counted_arena_.clear();
 
   for (NodeId id = 0; id < n_; ++id) {
     if (engine.is_corrupt(id)) continue;
     engine.set_actor(id, static_cast<sim::Actor*>(this));
-    // AerNode construction: L_x starts as {s_x}.
+    // L_x starts as {s_x}.
     candidate_count_[id] = 1;
     in_list_.insert(pack_ns(id, initial_[id]));
   }
@@ -73,11 +82,15 @@ bool SoaAerState::over_budget(NodeId self, StringId s) const {
 }
 
 void SoaAerState::on_start(sim::Context& ctx) {
+  // Push phase: diffuse the initial candidate to the d nodes whose Push
+  // Quorum for it contains us. The permutation-based sampler gives the
+  // target set directly (Lemma 3: O(log n) messages per node).
   const NodeId self = ctx.self();
   shared_->push_targets(initial_[self], self, targets_scratch_);
   for (NodeId target : targets_scratch_) {
     ctx.send(target, push_msg(initial_[self]));
   }
+  // Algorithm 1 runs over L_x, which initially holds s_x.
   start_pull(ctx, self, initial_[self]);
 }
 
@@ -112,6 +125,8 @@ void SoaAerState::on_message(sim::Context& ctx, const sim::Envelope& env) {
 void SoaAerState::handle_push(sim::Context& ctx, NodeId self, NodeId from,
                               const sim::Message& m) {
   if (in_list_.contains(pack_ns(self, m.s))) return;  // already a candidate
+  // Filter: only members of I(s, self) may push s to us; each sender is
+  // credited once, with its slot multiplicity.
   const sampler::QuorumView quorum = shared_->push_quorum(m.s, self);
   const std::size_t mult = quorum.multiplicity(from);
   if (mult == 0) return;  // not in our Push Quorum for s: ignore silently
@@ -174,8 +189,11 @@ void SoaAerState::decide(sim::Context& ctx, NodeId self, StringId s) {
   if (has_decided_[self]) return;
   has_decided_[self] = 1;
   decided_[self] = s;
-  current_[self] = s;
+  current_[self] = s;  // s_this is updated accordingly (Algorithm 3's note)
   ctx.decide(s);
+  // "Wait for has_decided" resolves now: serve the deferred requests whose
+  // string matches the decided belief. (emit_answer never re-defers once
+  // the node has decided, so indexed iteration is safe.)
   std::vector<std::pair<NodeId, StringId>>& dq = deferred_[self];
   for (std::size_t i = 0; i < dq.size(); ++i) {
     const auto [x, str] = dq[i];
@@ -186,6 +204,11 @@ void SoaAerState::decide(sim::Context& ctx, NodeId self, StringId s) {
 }
 
 void SoaAerState::serve_retained(sim::Context& ctx, NodeId self) {
+  // A node that just learned gstring starts serving the requests for it that
+  // arrived while it still believed its own candidate (Algorithm 3's
+  // "s_w was changed accordingly", applied to all three relay roles). This
+  // is what lets nodes whose quorums contain initially-unknowledgeable
+  // members still gather their majorities.
   for (const auto& [key, r] : pending_pulls_[self]) {
     const StringId s = static_cast<StringId>(key & 0xffffffffu);
     const NodeId x = static_cast<NodeId>(key >> 32);
@@ -223,8 +246,11 @@ void SoaAerState::serve_retained(sim::Context& ctx, NodeId self) {
 
 void SoaAerState::handle_pull(sim::Context& ctx, NodeId self, NodeId from,
                               const sim::Message& m) {
+  // Only members of the sender's Pull Quorum for s may route the request.
   if (!shared_->pull_quorum(m.s, from).contains(self)) return;
   if (m.s != current_[self]) {
+    // Not (yet) our belief. Retain it: if we later decide on s, we serve it
+    // (post-decision answering, Algorithm 3). One slot per (x, s).
     if (!has_decided_[self]) {
       pending_pulls_[self].emplace(pack_xs(from, m.s), m.r);
     }
@@ -235,6 +261,7 @@ void SoaAerState::handle_pull(sim::Context& ctx, NodeId self, NodeId from,
 
 void SoaAerState::forward_pull(sim::Context& ctx, NodeId self, NodeId x,
                                StringId s, PollLabel r) {
+  // Flooding guard ("keep track of senders"): one forward per (x, s).
   if (!forwarded_[self].insert(pack_xs(x, s))) return;
   const sampler::QuorumView poll_view = shared_->poll_list(x, r);
   if (burst_engine_ != nullptr) {
@@ -305,7 +332,11 @@ void SoaAerState::handle_fw1(sim::Context& ctx, NodeId self, NodeId from,
   if (mult == 0) return;  // y in H(s, x)
   if (!shared_->poll_list(m.a, m.r).contains(m.b)) return;  // w in J(x,r)
 
-  const auto outer = fw1_tallies_[self].try_emplace(pack_xs(m.a, m.s));
+  // Vouching is tallied even when s is not (yet) our belief; the Fw2 is only
+  // emitted while s = s_this (now or after deciding on s).
+  Fw1Tallies& tallies = fw1_tallies_[self];
+  const auto outer =
+      tallies.try_emplace(pack_xs(m.a, m.s), tallies.get_allocator());
   const auto inner = outer.first->second.try_emplace(m.b);
   Fw1Tally& tally = inner.first->second;
   if (inner.second) tally.counted_off = new_counted_span();
@@ -329,6 +360,8 @@ void SoaAerState::handle_fw2(sim::Context& ctx, NodeId self, NodeId from,
   const std::size_t mult = h_self.multiplicity(from);
   if (mult == 0) return;  // z in H(s, this)
 
+  // Evidence is tallied regardless of current belief; answers require
+  // s = s_this (initially our candidate, after deciding the decided value).
   const auto emplaced = responder_[self].try_emplace(pack_xs(m.a, m.s));
   ResponderState& st = emplaced.first->second;
   if (emplaced.second) st.counted_off = new_counted_span();
@@ -350,6 +383,8 @@ void SoaAerState::handle_poll(sim::Context& ctx, NodeId self, NodeId from,
   if (emplaced.second) st.counted_off = new_counted_span();
   if (st.polled) return;
   st.polled = true;
+  // Necessary in the asynchronous case: the Fw2 majority may have formed
+  // before the Poll arrived.
   const sampler::QuorumView h_self = shared_->pull_quorum(m.s, self);
   if (m.s == current_[self] && !st.answered && st.slots * 2 > h_self.size()) {
     st.answered = true;
@@ -359,6 +394,8 @@ void SoaAerState::handle_poll(sim::Context& ctx, NodeId self, NodeId from,
 
 void SoaAerState::emit_answer(sim::Context& ctx, NodeId self, NodeId x,
                               StringId s) {
+  // Algorithm 3's answer budget: an overloaded node stops answering until it
+  // has decided (then it answers for its decided string only).
   if (!has_decided_[self] && over_budget(self, s)) {
     if (shared_->config.defer_answers) {
       deferred_[self].emplace_back(x, s);
@@ -376,12 +413,14 @@ void SoaAerState::emit_answer(sim::Context& ctx, NodeId self, NodeId x,
 
 namespace {
 
-/// Deterministic size model for a libstdc++ unordered_map: one allocated
-/// node per entry (next pointer + value; integral keys cache no hash) plus
-/// the bucket array. Both entry count and bucket count are pure functions
-/// of the insertion history, so warm trials report identical bytes.
-template <typename K, typename V>
-std::uint64_t umap_bytes(const std::unordered_map<K, V>& m) {
+/// Deterministic size model for a libstdc++ std::unordered_map<K, V>: one
+/// allocated node per entry (next pointer + value; integral keys cache no
+/// hash) plus the bucket array. Both entry count and bucket count are pure
+/// functions of the insertion history, so warm trials report identical
+/// bytes. The model is the default-allocator layout: the pool's size-class
+/// rounding and slabs are allocator state, which the account never reads.
+template <typename K, typename V, typename Map>
+std::uint64_t umap_bytes(const Map& m) {
   return static_cast<std::uint64_t>(m.size()) *
              (sizeof(void*) + sizeof(std::pair<const K, V>)) +
          static_cast<std::uint64_t>(m.bucket_count()) * sizeof(void*);
@@ -409,21 +448,24 @@ void SoaAerState::charge_mem(support::MemBudget& mem) const {
   mem.charge(flat_bytes(my_pulls_.size(), sizeof(MyPull)));
   mem.charge(flat_bytes(answer_counts_.size(), sizeof(std::uint32_t)));
 
+  using PlainFw1 = std::unordered_map<NodeId, Fw1Tally>;
   // Per-node container headers (charged at n_, not at the vectors' possibly
   // larger warm capacity, so cold and warm runs report identical bytes).
   mem.charge(static_cast<std::uint64_t>(n_) *
-             (sizeof(support::FlatSet64) + sizeof(pending_pulls_[0]) +
-              sizeof(fw1_tallies_[0]) + sizeof(responder_[0]) +
+             (sizeof(support::FlatSet64) +
+              sizeof(std::unordered_map<std::uint64_t, PollLabel>) +
+              sizeof(std::unordered_map<std::uint64_t, PlainFw1>) +
+              sizeof(std::unordered_map<std::uint64_t, ResponderState>) +
               sizeof(deferred_[0])));
   for (std::size_t id = 0; id < n_; ++id) {
     mem.charge(flat_bytes(forwarded_[id].size(), 1));
-    mem.charge(umap_bytes(pending_pulls_[id]));
-    mem.charge(umap_bytes(responder_[id]));
-    const auto& outer = fw1_tallies_[id];
-    mem.charge(umap_bytes(outer));
+    mem.charge(umap_bytes<std::uint64_t, PollLabel>(pending_pulls_[id]));
+    mem.charge(umap_bytes<std::uint64_t, ResponderState>(responder_[id]));
+    const Fw1Tallies& outer = fw1_tallies_[id];
+    mem.charge(umap_bytes<std::uint64_t, PlainFw1>(outer));
     for (const auto& [key, inner] : outer) {
       (void)key;
-      mem.charge(umap_bytes(inner));
+      mem.charge(umap_bytes<NodeId, Fw1Tally>(inner));
     }
     mem.charge(static_cast<std::uint64_t>(deferred_peak_[id]) *
                sizeof(std::pair<NodeId, StringId>));
@@ -434,10 +476,11 @@ void SoaAerState::charge_mem(support::MemBudget& mem) const {
 
 namespace {
 
-/// AER-specific report sections from the SoA state (the analogue of
-/// protocol.cpp's fill_aer_specific).
-void fill_aer_specific_soa(AerReport& report, const AerWorld& world,
-                           const SoaAerState& state) {
+/// AER-specific report sections (candidate lists, deferred-answer peaks).
+/// Walks world.correct, so nodes flipped by a runtime corruption drop out of
+/// the harvest.
+void fill_aer_specific(AerReport& report, const AerWorld& world,
+                       const SoaAerState& state) {
   const AerShared& shared = *world.shared;
   for (NodeId id : world.correct) {
     report.sum_candidate_lists += state.candidate_list_size(id);
@@ -451,7 +494,7 @@ void fill_aer_specific_soa(AerReport& report, const AerWorld& world,
   }
 }
 
-/// Trial-wide memory account shared by both engine flavors: the SoA state,
+/// Trial-wide memory account shared by both engine flavors: the actor state,
 /// the event core's high-water mark, the metrics arrays, the dense sampler
 /// tables and the interned strings. All terms are logical sizes or
 /// capacity-rules over counts (support/mem.h), never allocator state.
@@ -495,11 +538,9 @@ void charge_trial_mem(support::MemBudget& mem, const AerWorld& world,
 
 }  // namespace
 
-AerReport run_aer_world_soa(AerWorld& world, SoaArena& arena,
-                            const SoaRunOptions& opts,
-                            const StrategyFactory& make_strategy) {
-  // Mirrors run_aer_world_arena step for step (order included — the
-  // SoA-vs-pointer fingerprint equality in tests/scale_test.cpp pins it).
+AerReport run_aer_world(AerWorld& world, RunArena& arena,
+                        const StrategyFactory& make_strategy,
+                        const SoaRunOptions& opts) {
   const AerConfig& config = world.shared->config;
   world.decisions.reset(config.n);
 
@@ -524,24 +565,32 @@ AerReport run_aer_world_soa(AerWorld& world, SoaArena& arena,
     if (note_runtime_corruption(world, node)) --target;
   };
 
+  SoaAerState& state = *arena.state;
   auto wire_nodes = [&](auto& engine) {
     engine.set_wire(&world.shared->wire());
     engine.set_fault_plan(&config.fault_plan);
     engine.set_recovery_plan(&config.recovery_plan);
     engine.set_corrupt(world.view.corrupt);
-    arena.state.reset(world.shared.get(), world.view.initial, engine);
+    state.reset(world.shared.get(), world.view.initial, engine);
     engine.set_strategy(strategy.get());
     engine.set_decision_callback(on_decide);
     engine.set_corruption_budget(config.adaptive_budget);
     engine.set_corruption_callback(on_corrupt);
   };
-  auto harvest_adaptive = [&report](auto& engine) {
+  auto harvest = [&](auto& engine, double engine_time, bool completed) {
+    report.engine_time = engine_time;
+    report.engine_completed = completed;
     report.runtime_corruptions = engine.corruptions_spent();
     report.first_corruption_time = engine.first_corruption_time();
     report.last_corruption_time = engine.last_corruption_time();
+    fill_outcome_and_traffic(report, world, engine.metrics());
+    fill_aer_specific(report, world, state);
+    support::MemBudget mem;
+    charge_trial_mem(mem, world, state, engine.queue_peak());
+    report.mem_bytes = mem.total_bytes();
+    report.mem_bytes_per_node = mem.bytes_per_node(config.n);
   };
 
-  support::MemBudget mem;
   if (config.model == Model::kAsync) {
     sim::AsyncConfig ec;
     ec.n = config.n;
@@ -552,12 +601,7 @@ AerReport run_aer_world_soa(AerWorld& world, SoaArena& arena,
     sim::AsyncEngine& engine = *arena.async;
     wire_nodes(engine);
     const auto result = engine.run(done);
-    report.engine_time = result.time;
-    report.engine_completed = result.completed;
-    harvest_adaptive(engine);
-    fill_outcome_and_traffic(report, world, engine.metrics());
-    fill_aer_specific_soa(report, world, arena.state);
-    charge_trial_mem(mem, world, arena.state, engine.queue_peak());
+    harvest(engine, result.time, result.completed);
   } else {
     sim::SyncConfig ec;
     ec.n = config.n;
@@ -573,21 +617,30 @@ AerReport run_aer_world_soa(AerWorld& world, SoaArena& arena,
     // legal when all of them are no-ops.
     if (opts.bursts && strategy == nullptr && config.fault_plan.empty() &&
         config.recovery_plan.empty()) {
-      engine.set_burst_source(&arena.state);
-      arena.state.enable_bursts(&engine);
+      engine.set_burst_source(&state);
+      state.enable_bursts(&engine);
     }
     if (opts.round_progress) engine.set_round_progress(opts.round_progress);
     const auto result = engine.run(done);
-    report.engine_time = static_cast<double>(result.rounds);
-    report.engine_completed = result.completed;
-    harvest_adaptive(engine);
-    fill_outcome_and_traffic(report, world, engine.metrics());
-    fill_aer_specific_soa(report, world, arena.state);
-    charge_trial_mem(mem, world, arena.state, engine.queue_peak());
+    harvest(engine, static_cast<double>(result.rounds), result.completed);
   }
-  report.mem_bytes = mem.total_bytes();
-  report.mem_bytes_per_node = mem.bytes_per_node(config.n);
   return report;
+}
+
+AerReport run_aer_world(AerWorld& world, const StrategyFactory& make_strategy) {
+  RunArena arena;
+  return run_aer_world(world, arena, make_strategy);
+}
+
+AerReport run_aer_world_arena(AerWorld& world, RunArena& arena,
+                              const StrategyFactory& make_strategy) {
+  return run_aer_world(world, arena, make_strategy);
+}
+
+AerReport run_aer_world_soa(AerWorld& world, RunArena& arena,
+                            const SoaRunOptions& opts,
+                            const StrategyFactory& make_strategy) {
+  return run_aer_world(world, arena, make_strategy, opts);
 }
 
 }  // namespace fba::aer

@@ -75,7 +75,7 @@ struct TrialOutcome {
   std::size_t max_deferred = 0;
 
   /// Deterministic per-node memory account (AerReport::mem_bytes_per_node;
-  /// the SoA scale runner fills it, every other runner leaves 0).
+  /// every AER run fills it, the baseline protocols leave 0).
   double mem_bytes_per_node = 0;
 
   // Adaptive-adversary corruption timeline (all zero under the paper's
@@ -147,10 +147,9 @@ struct Aggregate {
 
   /// Memory distribution across trials (bytes/node; all-zero on runners
   /// that do not account memory). Deliberately OUTSIDE fingerprint(): the
-  /// pinned golden fingerprints predate the memory metric, and pointer-path
-  /// and SoA-path runs of the same point must keep matching fingerprints
-  /// while only one of them fills this field. Report::diff compares it
-  /// explicitly instead (exp/report.cpp kDiffMetrics).
+  /// pinned golden fingerprints and committed baselines predate the memory
+  /// metric and stay valid. Report::diff compares it explicitly instead
+  /// (exp/report.cpp kDiffMetrics).
   SummaryStats mem_bytes_per_node;
 
   /// Adaptive-adversary corruption timeline across trials. Same placement

@@ -2,23 +2,22 @@
 //
 // A sweep runs thousands of trials back to back; without an arena every
 // trial reconstructs its whole world on the heap — string table, sampler
-// tables, engine, n actors and their tally maps. The arena keeps all of it
-// alive between trials: build_aer_world_into re-keys the world in place,
-// the engines reset instead of reconstructing, and the actor pool's
-// containers keep their capacity. After a warm-up trial, running a trial
+// tables, engines and the actor state with its tally maps. The arena keeps
+// all of it alive between trials: build_aer_world_into re-keys the world in
+// place, the engines reset instead of reconstructing, and the actor state's
+// tables and pool keep their capacity. After a warm-up trial, running a trial
 // performs no heap allocation (under the default corruption picker, the
 // "none" attack and an allocation-free fault plan) — the contract
 // bench_micro_primitives::BM_WarmTrialAllocations enforces.
 //
 // Determinism: a trial's result depends only on its config (seed included),
 // never on what the arena ran before — reset paths replicate construction
-// semantics exactly. exp_test compares arena-path and fresh-path
+// semantics exactly. exp_test compares reused-arena and fresh-arena
 // fingerprints; golden_test pins the values themselves.
 #pragma once
 
 #include <cstdint>
 
-#include "aer/runner.h"
 #include "aer/soa.h"
 
 namespace fba::exp {
@@ -52,24 +51,11 @@ class TrialArena {
   /// kept: it accounts the run, not the storage.
   void clear() {
     world = aer::AerWorld();
-    run.sync.reset();
-    run.async.reset();
-    run.node_pool.clear();
-    run.node_pool.shrink_to_fit();
-    run.active.clear();
-    run.active.shrink_to_fit();
+    run.clear();
   }
 };
 
-/// Scale-mode counterpart: the world plus the structure-of-arrays actor
-/// state and engines (aer/soa.h) reused across the trials one worker runs.
-/// Same determinism contract as TrialArena — a trial's result depends only
-/// on its config, never on what the arena ran before.
-class ScaleArena {
- public:
-  aer::AerWorld world;
-  aer::SoaArena run;
-  TrialTiming timing;
-};
+/// Kept because perfbench/ names it: scale mode runs on the same arena.
+using ScaleArena = TrialArena;
 
 }  // namespace fba::exp

@@ -205,7 +205,8 @@ const DiffMetric kDiffMetrics[] = {
     {"wrong_decisions_per_trial", true, true},
     // Deliberately outside the fingerprint (exp/aggregate.h) — compared
     // even on fingerprint-identical points. A zero baseline means the
-    // baseline never accounted memory (v1 file or pointer-path run); the
+    // baseline never accounted memory (v1 file, a baseline protocol, or an
+    // AER run recorded before every AER run filled the account); the
     // comparison is skipped then rather than flagging any positive value
     // as a regression.
     {"mem_bytes_per_node.mean", true, false},

@@ -91,6 +91,7 @@ void QuorumTable::reset(const QuorumSampler* sampler, std::size_t n) {
   sampler_ = sampler;
   n_ = n;
   ++epoch_;
+  slab_count_ = 0;
   index_.clear();
   arena_.reset(quorum_stride(sampler->d()));
 }
@@ -98,6 +99,7 @@ void QuorumTable::reset(const QuorumSampler* sampler, std::size_t n) {
 QuorumTable::Slab& QuorumTable::activate(std::uint32_t sid,
                                          StringKey key) const {
   if (sid >= slabs_.size()) slabs_.resize(sid + 1);
+  slab_count_ = std::max<std::size_t>(slab_count_, sid + 1);
   Slab& slab = slabs_[sid];
   if (slab.trial_epoch != epoch_) {
     slab.trial_epoch = epoch_;

@@ -18,7 +18,7 @@
 //     the slot-order members, a sorted copy (O(log d) membership /
 //     multiplicity, identical semantics to sampler::Quorum), and the
 //     first-seen-order distinct member list the send loops iterate (what
-//     aer/node.cpp used to recompute — with a fresh vector — per send).
+//     the AER actor used to recompute — with a fresh vector — per send).
 //   - PollTable: poll lists are keyed by (node, label) with labels drawn
 //     from the huge domain R, so rows sit behind one open-addressed probe
 //     instead of a dense index; storage is the same chunked slab.
@@ -125,8 +125,10 @@ class QuorumTable {
 
   /// Rows materialized so far (tests / diagnostics).
   std::size_t rows_built() const { return arena_.rows(); }
-  /// String slabs ever activated (memory accounting).
-  std::size_t slab_count() const { return slabs_.size(); }
+  /// Slab slots this trial addresses — the dense StringId range activated
+  /// since reset(), which is what a fresh table would hold (memory
+  /// accounting; slabs_ itself keeps earlier trials' larger ranges).
+  std::size_t slab_count() const { return slab_count_; }
 
  private:
   struct Slab {
@@ -141,6 +143,7 @@ class QuorumTable {
   std::size_t n_ = 0;
   std::uint64_t epoch_ = 0;
   mutable std::vector<Slab> slabs_;  ///< indexed by dense StringId
+  mutable std::size_t slab_count_ = 0;  ///< see slab_count()
   /// packed (sid, x) -> arena row index + 1 (0 = not built yet). One shared
   /// probe table sized to the rows actually touched — a dense per-slab
   /// x -> row vector would cost 4n bytes PER ACTIVATED STRING, which is

@@ -230,6 +230,38 @@ TEST(SweepTest, ArenaReusedAcrossGridShapesStaysCorrect) {
   }
 }
 
+TEST(SweepTest, ArenaReusedAcrossGridShapesMatchesFreshArena) {
+  // One arena serves n = 64 -> 32 -> 96 under both engines, so the actor
+  // state meets per-node vectors larger than n and rebuilds its pooled
+  // retained maps every trial; each point must still fold to the same
+  // fingerprint as a fresh world and arena per trial.
+  aer::AerConfig base;
+  base.seed = 7;
+  exp::Grid grid;
+  grid.ns = {64, 32, 96};
+  grid.models = {aer::Model::kSyncRushing, aer::Model::kAsync};
+
+  exp::Sweep reused(base, grid, 2);
+  reused.set_threads(1);
+  const auto reused_results = reused.run();
+
+  exp::Sweep fresh(base, grid, 2);
+  fresh.set_threads(1);
+  fresh.set_trial(
+      static_cast<exp::TrialOutcome (*)(const aer::AerConfig&,
+                                        const exp::GridPoint&)>(
+          exp::run_aer_trial));
+  const auto fresh_results = fresh.run();
+
+  ASSERT_EQ(reused_results.size(), 6u);
+  ASSERT_EQ(fresh_results.size(), reused_results.size());
+  for (std::size_t i = 0; i < reused_results.size(); ++i) {
+    EXPECT_EQ(reused_results[i].aggregate.fingerprint(),
+              fresh_results[i].aggregate.fingerprint())
+        << reused_results[i].point.label();
+  }
+}
+
 TEST(SweepTest, PerKindTrafficAxesArePopulatedAndConsistent) {
   aer::AerConfig base;
   base.n = 64;

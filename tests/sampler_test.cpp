@@ -239,7 +239,7 @@ TEST(BorderTest, RejectsOversizedSets) {
 namespace {
 
 /// First-seen-order distinct members of a quorum — the reference for the
-/// precomputed distinct list (what aer/node.cpp's send loops iterate).
+/// precomputed distinct list (what aer/soa.cpp's send loops iterate).
 std::vector<NodeId> reference_distinct(const Quorum& q) {
   std::vector<NodeId> out;
   for (NodeId m : q.members) {
